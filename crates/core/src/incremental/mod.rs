@@ -7,11 +7,13 @@
 //! *mutable*: new records compute their signatures through the same
 //! [`parallel_map`] path as one-shot blocking and are **appended** to the
 //! per-band bucket shards — no signature of an existing record is ever
-//! recomputed, and buckets the batch does not touch are left alone. The
-//! shards themselves are cached per band as stable-hash bucket maps, so an
-//! insert pays O(1) per bucket it lands in, and each band's shard is updated
-//! by its own [`parallel_map_mut`] worker with the results stitched back in
-//! deterministic band order.
+//! recomputed, and buckets the batch does not touch are left alone. Each
+//! band is split into a fixed number of `Arc`'d stable-hash sub-shards, so
+//! an insert pays O(1) per bucket it lands in. The per-band placements and
+//! delta pairs are computed in parallel against the unmodified index and
+//! stitched back in deterministic band order; the placements are then
+//! applied on the calling thread, where copy-on-write copies only the
+//! sub-shards they land in.
 //!
 //! # Delta pairs
 //!
@@ -75,7 +77,7 @@
 mod state;
 mod view;
 
-pub use state::{BucketDump, IndexDump};
+pub use state::{BucketDump, BucketDumpRef, IndexDump, IndexDumpRef};
 pub use view::IndexView;
 
 use std::sync::Arc;
@@ -97,7 +99,7 @@ use crate::lsh::semantic_hash::WWaySemanticHash;
 use crate::lsh::{BandingScheme, SemanticConfig};
 use crate::minhash::shingle::RecordShingler;
 use crate::minhash::{MinHasher, MinhashConfig};
-use crate::parallel::{parallel_map, parallel_map_mut, resolve_threads};
+use crate::parallel::{parallel_map, resolve_threads};
 use crate::semantic::semhash::SemhashFamily;
 
 /// The candidate pairs one ingest batch added to Γ, as sorted and
@@ -311,17 +313,109 @@ impl Bucket {
     }
 }
 
-/// One band's bucket shard: `(textual bucket key, semantic sub-key)` →
-/// [`Bucket`]. Plain LSH stores everything under sub-key 0. A deterministic
-/// (seeded FxHash) map, so lookups are O(1) on the insert hot path; every
-/// order-sensitive consumer (snapshots) sorts the touched keys, which
-/// reproduces the previous ordered-map iteration byte for byte.
+/// Copy-on-write sub-shards per band, a power of two. A record lands in
+/// every band, so a single-row write copies about one sub-shard per band,
+/// ~1/64 of the index. More sub-shards make that copy smaller, but every
+/// publication clones `bands × SUB_SHARDS` `Arc`s, and a bulk batch, which
+/// touches every sub-shard, pays a per-table cost to copy and later free
+/// each one: at 50k NC-Voter rows, 256 cut a one-row apply from ~0.45 ms to
+/// ~0.3 ms but made the batched preload ~7 % slower than one map per band,
+/// while 64 kept it within noise.
+const SUB_SHARDS: usize = 64;
+
+/// A deterministic (seeded FxHash) bucket map: `(textual bucket key,
+/// semantic sub-key)` → [`Bucket`]. Plain LSH stores everything under
+/// sub-key 0.
+type SubShard = StableHashMap<(u64, u64), Bucket>;
+
+/// One band's buckets, split into [`SUB_SHARDS`] sub-shards chosen by a mix
+/// of the bucket key, so lookups stay O(1) on the insert hot path. Every
+/// order-sensitive consumer (snapshots, dumps) sorts the keys through
+/// [`BandIndex::sorted`], which reproduces the ordered-map iteration of the
+/// one-shot bucket phase byte for byte.
 ///
-/// Shards are held behind [`Arc`]s so that publishing a read-only
-/// [`IndexView`] is O(bands): the view shares the shard allocations, and the
-/// next mutation copies only the shards it actually touches
-/// ([`Arc::make_mut`] — copy-on-write).
-type BandIndex = StableHashMap<(u64, u64), Bucket>;
+/// Each sub-shard sits behind its own [`Arc`]: a published [`IndexView`]
+/// clones the `Arc`s, and the next mutation copies only the sub-shards it
+/// writes to ([`Arc::make_mut`], copy-on-write). Only the mutating methods
+/// call [`Arc::make_mut`], so a read never copies.
+#[derive(Debug, Clone)]
+struct BandIndex {
+    shards: Vec<Arc<SubShard>>,
+}
+
+impl BandIndex {
+    fn new() -> Self {
+        // One Arc per sub-shard — `vec![Arc::new(..); n]` would alias a single
+        // allocation and defeat the per-sub-shard copy-on-write.
+        Self { shards: (0..SUB_SHARDS).map(|_| Arc::new(SubShard::default())).collect() }
+    }
+
+    /// The sub-shard a key lives in: a Fibonacci-hash mix of both key halves
+    /// (the textual key is already a hash; the semantic sub-key is a small
+    /// index, rotated into the high bits so it moves the top bits too).
+    fn shard_of(key: (u64, u64)) -> usize {
+        let mixed = (key.0 ^ key.1.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The top log2(SUB_SHARDS) bits: always below SUB_SHARDS.
+        (mixed >> (u64::BITS - SUB_SHARDS.trailing_zeros())) as usize
+    }
+
+    fn get(&self, key: &(u64, u64)) -> Option<&Bucket> {
+        self.shards[Self::shard_of(*key)].get(key)
+    }
+
+    /// The sub-shard holding `key`, copied first if a published view still
+    /// shares it.
+    fn shard_mut(&mut self, key: (u64, u64)) -> &mut SubShard {
+        Arc::make_mut(&mut self.shards[Self::shard_of(key)])
+    }
+
+    /// Appends key-sorted `(bucket key, record)` placements (ids ascending
+    /// within a key) to their buckets. The appends run sub-shard by
+    /// sub-shard, so each shared sub-shard is copied once and takes all of
+    /// its appends while its table is still in cache — which keeps bulk
+    /// batches as fast as when a band was one map.
+    fn append(&mut self, placements: &[Placement]) {
+        let mut groups: Vec<(usize, &[Placement])> =
+            key_groups(placements).map(|group| (Self::shard_of(group[0].0), group)).collect();
+        groups.sort_unstable_by_key(|&(shard, group)| (shard, group[0].0));
+        for (shard, group) in groups {
+            let bucket = Arc::make_mut(&mut self.shards[shard]).entry(group[0].0).or_default();
+            bucket.members.extend(group.iter().map(|&(_, id)| id));
+        }
+    }
+
+    /// Every bucket of the band in ascending key order.
+    fn sorted(&self) -> Vec<(&(u64, u64), &Bucket)> {
+        let mut entries: Vec<(&(u64, u64), &Bucket)> = self.shards.iter().flat_map(|shard| shard.iter()).collect();
+        entries.sort_unstable_by_key(|(key, _)| **key);
+        entries
+    }
+
+    /// Compacts every bucket holding tombstoned members and drops buckets
+    /// left empty; returns how many buckets were compacted. Clean sub-shards
+    /// are skipped before [`Arc::make_mut`], so a forced compaction copies
+    /// only what it rewrites.
+    fn compact(&mut self, removed: &[bool]) -> u64 {
+        let mut compacted = 0u64;
+        for shard in &mut self.shards {
+            if !shard.values().any(|bucket| bucket.dead > 0) {
+                continue;
+            }
+            // Visit order is irrelevant: each bucket is compacted
+            // independently and the count is order-free.
+            Arc::make_mut(shard).retain(|_, bucket| {
+                if bucket.dead == 0 {
+                    return true;
+                }
+                bucket.compact(removed);
+                crate::invariants::check_bucket_tombstones(&bucket.members, bucket.dead, removed, "forced compaction");
+                compacted += 1;
+                !bucket.members.is_empty()
+            });
+        }
+        compacted
+    }
+}
 
 /// A back-reference from a record to one bucket it occupies — the removal
 /// path enumerates exactly these instead of scanning the index.
@@ -331,13 +425,27 @@ struct BucketRef {
     key: (u64, u64),
 }
 
-/// What one band's ingest worker hands back: the `(bucket key, record)`
-/// placements it applied to its own shard (sorted by key, ids ascending
-/// within a key — the source of the back-references) and the band's sorted,
-/// deduplicated delta run.
+/// What one band's ingest worker hands back: the band's `(bucket key,
+/// record)` placements (sorted by key, ids ascending within a key — applied
+/// to the index and turned into back-references by the calling thread) and
+/// the band's sorted, deduplicated delta run.
 struct BandOutcome {
-    touched: Vec<((u64, u64), RecordId)>,
+    touched: Vec<Placement>,
     delta_run: Vec<u64>,
+}
+
+/// One record placed in one bucket: `(bucket key, record)`.
+type Placement = ((u64, u64), RecordId);
+
+/// Splits key-sorted placements into the runs that share one bucket key.
+fn key_groups(slots: &[Placement]) -> impl Iterator<Item = &[Placement]> {
+    let mut rest = slots;
+    std::iter::from_fn(move || {
+        let &(key, _) = rest.first()?;
+        let (group, tail) = rest.split_at(rest.iter().take_while(|slot| slot.0 == key).count());
+        rest = tail;
+        Some(group)
+    })
 }
 
 /// Default dead fraction at which a `(band, bucket)` shard is compacted in
@@ -351,12 +459,12 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 /// or directly from the builder via
 /// [`SaLshBlockerBuilder::into_incremental`](crate::lsh::salsh::SaLshBlockerBuilder::into_incremental).
 ///
-/// The index is one bucket shard per band, keyed by
-/// `(textual bucket key, semantic sub-key)` — plain LSH uses a constant
-/// sub-key of 0 — with members kept in ascending id order (batches arrive in
-/// id order and append). Sorting each shard's keys and walking the shards in
-/// band order reproduces exactly the deterministic band-order merge of the
-/// one-shot sharded bucket phase.
+/// The index is one bucket map per band, split into copy-on-write
+/// sub-shards and keyed by `(textual bucket key, semantic sub-key)` — plain
+/// LSH uses a constant sub-key of 0 — with members kept in ascending id
+/// order (batches arrive in id order and append). Sorting each band's keys
+/// and walking the bands in band order reproduces exactly the deterministic
+/// band-order merge of the one-shot sharded bucket phase.
 #[derive(Debug, Clone)]
 pub struct IncrementalSaLshBlocker {
     shingler: RecordShingler,
@@ -365,7 +473,7 @@ pub struct IncrementalSaLshBlocker {
     hasher: MinHasher,
     semantic: Option<IncrementalSemantic>,
     threads: Option<usize>,
-    bands: Vec<Arc<BandIndex>>,
+    bands: Vec<BandIndex>,
     /// Per-record bucket back-references; emptied when the record is
     /// tombstoned (a dead record's buckets are never walked again).
     bucket_refs: Vec<Vec<BucketRef>>,
@@ -415,9 +523,7 @@ impl IncrementalSaLshBlocker {
             None => None,
         };
         let hasher = MinHasher::from_config(&minhash);
-        // One Arc per band — `vec![Arc::new(..); n]` would alias a single
-        // allocation across all bands and defeat the per-band copy-on-write.
-        let bands = (0..banding.bands()).map(|_| Arc::new(BandIndex::default())).collect();
+        let bands = (0..banding.bands()).map(|_| BandIndex::new()).collect();
         Ok(Self {
             shingler,
             minhash,
@@ -509,27 +615,7 @@ impl IncrementalSaLshBlocker {
     /// and future deltas are unchanged.
     pub fn compact(&mut self) -> u64 {
         let removed = &self.removed;
-        let mut compacted = 0u64;
-        for band in &mut self.bands {
-            // Skip clean shards before `Arc::make_mut`: a forced compaction
-            // must not deep-copy shards shared with published views unless
-            // it actually rewrites them.
-            if !band.values().any(|bucket| bucket.dead > 0) {
-                continue;
-            }
-            let band = Arc::make_mut(band);
-            // Visit order over the shard is irrelevant: each bucket is
-            // compacted independently and the count is order-free.
-            band.retain(|_, bucket| {
-                if bucket.dead == 0 {
-                    return true;
-                }
-                bucket.compact(removed);
-                crate::invariants::check_bucket_tombstones(&bucket.members, bucket.dead, removed, "forced compaction");
-                compacted += 1;
-                !bucket.members.is_empty()
-            });
-        }
+        let compacted: u64 = self.bands.iter_mut().map(|band| band.compact(removed)).sum();
         self.compactions += compacted;
         compacted
     }
@@ -542,10 +628,11 @@ impl IncrementalSaLshBlocker {
 
     /// Publishes an immutable [`IndexView`] of the current index state.
     ///
-    /// O(bands) plus the live-record bookkeeping: the per-band bucket shards
-    /// are shared by [`Arc`], not copied — the blocker's next mutation
-    /// copies only the shards it touches ([`Arc::make_mut`]), so the view
-    /// stays frozen at the publication point forever. This is the engine
+    /// O(bands × sub-shards) `Arc` clones plus the live-record bookkeeping:
+    /// no bucket is copied. The blocker's next mutation copies only the
+    /// sub-shards it writes to ([`Arc::make_mut`]) — for a one-row insert,
+    /// one or a few per band — so the view stays frozen at the publication
+    /// point forever while everything else stays shared. This is the engine
     /// under snapshot/epoch service layers: one writer keeps mutating, any
     /// number of readers query their view without locks.
     pub fn publish_view(&self) -> IndexView {
@@ -705,19 +792,18 @@ impl IncrementalSaLshBlocker {
             self.entity_of.extend_from_slice(entities);
         }
 
-        // Each band's bucket shard is independent, so placements, delta
-        // pairs and the shard update itself run per band in parallel
-        // (`parallel_map_mut` — each worker owns its band's map), with
-        // outcomes stitched back in ascending band order so every derived
-        // structure is deterministic for any worker count.
+        // Each band's placements and delta pairs depend only on that band's
+        // buckets, so they are computed per band in parallel against the
+        // unmodified index — read-only, no worker copies a sub-shard — with
+        // outcomes in ascending band order so every derived structure is
+        // deterministic for any worker count.
         let removed: &[bool] = &self.removed;
         let banding = &self.banding;
         let semantic = &self.semantic;
-        let mut shards: Vec<(usize, &mut BandIndex)> =
-            self.bands.iter_mut().map(Arc::make_mut).enumerate().collect();
-        let outcomes: Vec<BandOutcome> = parallel_map_mut(&mut shards, threads, |(band, index)| {
-            let band = *band;
-            let mut slots: Vec<((u64, u64), RecordId)> = Vec::new();
+        let bands = &self.bands;
+        let band_ids: Vec<usize> = (0..bands.len()).collect();
+        let outcomes: Vec<BandOutcome> = parallel_map(&band_ids, threads, |&band| {
+            let mut slots: Vec<Placement> = Vec::new();
             for (offset, signature) in signatures.iter().enumerate() {
                 if shingles[offset].is_empty() {
                     continue;
@@ -741,40 +827,29 @@ impl IncrementalSaLshBlocker {
             // Delta pairs of this band: existing live members × new members,
             // plus the new-member pairs, per touched bucket. Old ids are all
             // smaller than new ids and members are ascending, so every pair
-            // packs ascending without canonicalisation. The shard update
-            // itself happens in the same pass: one O(1) bucket lookup per
-            // touched bucket, untouched buckets never rewritten.
+            // packs ascending without canonicalisation.
             let mut delta_run: Vec<u64> = Vec::new();
-            let mut start = 0usize;
-            while start < slots.len() {
-                let key = slots[start].0;
-                let mut end = start;
-                while end < slots.len() && slots[end].0 == key {
-                    end += 1;
-                }
-                let new_members = &slots[start..end];
-                let bucket = index.entry(key).or_default();
-                for &old in &bucket.members {
-                    if removed[old.index()] {
-                        continue;
-                    }
-                    for &(_, new) in new_members {
-                        delta_run.push(RecordPair::pack_ascending(old, new));
+            for group in key_groups(&slots) {
+                if let Some(bucket) = bands[band].get(&group[0].0) {
+                    for &old in &bucket.members {
+                        if removed[old.index()] {
+                            continue;
+                        }
+                        for &(_, new) in group {
+                            delta_run.push(RecordPair::pack_ascending(old, new));
+                        }
                     }
                 }
-                for (i, &(_, a)) in new_members.iter().enumerate() {
-                    for &(_, b) in &new_members[i + 1..] {
+                for (i, &(_, a)) in group.iter().enumerate() {
+                    for &(_, b) in &group[i + 1..] {
                         delta_run.push(RecordPair::pack_ascending(a, b));
                     }
                 }
-                bucket.members.extend(new_members.iter().map(|&(_, id)| id));
-                start = end;
             }
             radix_sort_packed(&mut delta_run);
             delta_run.dedup();
             BandOutcome { touched: slots, delta_run }
         });
-        drop(shards);
 
         if let Some(last) = records.last() {
             // `validate_batch` proved the batch is the dense continuation of
@@ -786,10 +861,14 @@ impl IncrementalSaLshBlocker {
         self.removed.resize(self.next_id as usize, false);
         self.bucket_refs.resize(self.next_id as usize, Vec::new());
 
+        // The placements are applied on the calling thread: copying
+        // sub-shards inside the short-lived workers would spread the copies
+        // over per-thread malloc arenas and raise the resident set.
         // Back-references accumulate in band order, then key order within a
         // band (`touched` is sorted) — deterministic for any worker count.
         let mut runs: Vec<Vec<u64>> = Vec::with_capacity(outcomes.len());
         for (band, outcome) in outcomes.into_iter().enumerate() {
+            self.bands[band].append(&outcome.touched);
             for &(key, id) in &outcome.touched {
                 self.bucket_refs[id.index()].push(BucketRef { band, key });
             }
@@ -896,8 +975,8 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
         let threshold = self.compaction_threshold;
         let mut compacted = 0u64;
         for reference in &refs {
-            let band = Arc::make_mut(&mut self.bands[reference.band]);
-            let Some(bucket) = band.get_mut(&reference.key) else {
+            let shard = self.bands[reference.band].shard_mut(reference.key);
+            let Some(bucket) = shard.get_mut(&reference.key) else {
                 continue;
             };
             bucket.dead += 1;
@@ -907,7 +986,7 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
                 crate::invariants::check_bucket_tombstones(&bucket.members, bucket.dead, removed, "threshold compaction");
                 compacted += 1;
                 if bucket.members.is_empty() {
-                    band.remove(&reference.key);
+                    shard.remove(&reference.key);
                 }
             }
         }
@@ -929,15 +1008,10 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
 /// Renders the per-band bucket shards as a [`BlockCollection`] — the shared
 /// implementation of [`IncrementalBlocker::snapshot`] and
 /// [`IndexView::snapshot`].
-fn snapshot_bands(bands: &[Arc<BandIndex>], removed: &[bool], semantic: bool) -> BlockCollection {
+fn snapshot_bands(bands: &[BandIndex], removed: &[bool], semantic: bool) -> BlockCollection {
     let mut blocks = Vec::new();
     for (band, buckets) in bands.iter().enumerate() {
-        // The shard is a hash map for O(1) inserts; snapshot order is
-        // restored by sorting the keys, reproducing the ordered-map
-        // iteration of the one-shot bucket phase byte for byte.
-        let mut entries: Vec<(&(u64, u64), &Bucket)> = buckets.iter().collect();
-        entries.sort_unstable_by_key(|(key, _)| **key);
-        for (&(bucket, sub), shard) in entries {
+        for (&(bucket, sub), shard) in buckets.sorted() {
             let live: Vec<RecordId> = shard.members.iter().copied().filter(|id| !removed[id.index()]).collect();
             if live.len() < 2 {
                 continue;

@@ -12,12 +12,14 @@
 //! the exact order ingest would have produced — same behaviour under every
 //! future insert/remove sequence.
 //!
+//! [`IndexDumpRef`] is the same state borrowed from a live index: buckets as
+//! key-sorted references to their member lists, so a persistence layer can
+//! encode it without cloning any bucket first.
+//!
 //! Restore never trusts the dump: band counts, key ordering, member
 //! ordering, id bounds and per-bucket tombstone accounting are all
 //! re-validated, and violations surface as typed [`CoreError::Config`]
 //! errors instead of corrupting the index (or panicking later).
-
-use std::sync::Arc;
 
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::RecordId;
@@ -36,6 +38,64 @@ pub struct BucketDump {
     pub members: Vec<RecordId>,
     /// How many of `members` are currently tombstoned.
     pub dead: u32,
+}
+
+/// One bucket of one band shard, borrowed from a live index or a dump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BucketDumpRef<'a> {
+    /// The `(textual bucket key, semantic sub-key)` the bucket lives under.
+    pub key: (u64, u64),
+    /// Members in strictly ascending id order, tombstoned ones included.
+    pub members: &'a [RecordId],
+    /// How many of `members` are currently tombstoned.
+    pub dead: u32,
+}
+
+/// [`IndexDump`] borrowed instead of owned (see the module docs). Produced
+/// by [`IncrementalSaLshBlocker::dump_ref`] and [`IndexDump::borrowed`];
+/// the fields mean exactly what the [`IndexDump`] fields of the same name
+/// mean.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexDumpRef<'a> {
+    /// Per band (ascending band order), the buckets sorted strictly
+    /// ascending by key.
+    pub bands: Vec<Vec<BucketDumpRef<'a>>>,
+    /// Dense tombstone flags over the ingested id space.
+    pub removed: &'a [bool],
+    /// Entity annotations (a dense prefix of the id space).
+    pub entity_of: &'a [EntityId],
+    /// The running `|Γ|` / `|Γ_tp|` counters over the live corpus.
+    pub running: RunningCounts,
+    /// Number of batches ingested so far.
+    pub batches_ingested: u64,
+    /// Number of bucket compactions performed so far.
+    pub compactions: u64,
+    /// The dead fraction at which removal-touched buckets compact.
+    pub compaction_threshold: f64,
+}
+
+impl IndexDumpRef<'_> {
+    /// Clones the borrowed state into an owned [`IndexDump`].
+    pub fn to_dump(&self) -> IndexDump {
+        let bands = self
+            .bands
+            .iter()
+            .map(|band| {
+                band.iter()
+                    .map(|bucket| BucketDump { key: bucket.key, members: bucket.members.to_vec(), dead: bucket.dead })
+                    .collect()
+            })
+            .collect();
+        IndexDump {
+            bands,
+            removed: self.removed.to_vec(),
+            entity_of: self.entity_of.to_vec(),
+            running: self.running,
+            batches_ingested: self.batches_ingested,
+            compactions: self.compactions,
+            compaction_threshold: self.compaction_threshold,
+        }
+    }
 }
 
 /// The full runtime state of an [`IncrementalSaLshBlocker`] (see the module
@@ -62,30 +122,58 @@ pub struct IndexDump {
     pub compaction_threshold: f64,
 }
 
+impl IndexDump {
+    /// The dump in borrowed form, sharing its member lists.
+    pub fn borrowed(&self) -> IndexDumpRef<'_> {
+        let bands = self
+            .bands
+            .iter()
+            .map(|band| {
+                band.iter()
+                    .map(|bucket| BucketDumpRef { key: bucket.key, members: &bucket.members, dead: bucket.dead })
+                    .collect()
+            })
+            .collect();
+        IndexDumpRef {
+            bands,
+            removed: &self.removed,
+            entity_of: &self.entity_of,
+            running: self.running,
+            batches_ingested: self.batches_ingested,
+            compactions: self.compactions,
+            compaction_threshold: self.compaction_threshold,
+        }
+    }
+}
+
 impl IncrementalSaLshBlocker {
     /// Exports the blocker's runtime state (see [`IndexDump`]). The dump is
     /// fully deterministic: bucket keys are sorted per band, so two blockers
     /// with equal observable state produce equal dumps.
     pub fn dump(&self) -> IndexDump {
+        self.dump_ref().to_dump()
+    }
+
+    /// [`IncrementalSaLshBlocker::dump`] without cloning any bucket: the
+    /// same key-sorted state, borrowing the member lists and bookkeeping
+    /// vectors from the index.
+    pub fn dump_ref(&self) -> IndexDumpRef<'_> {
         let bands = self
             .bands
             .iter()
             .map(|band| {
-                let mut buckets: Vec<BucketDump> = band
-                    .iter()
-                    .map(|(&key, bucket)| BucketDump { key, members: bucket.members.clone(), dead: bucket.dead })
-                    .collect();
-                buckets.sort_unstable_by_key(|bucket| bucket.key);
-                buckets
+                band.sorted()
+                    .into_iter()
+                    .map(|(&key, bucket)| BucketDumpRef { key, members: &bucket.members, dead: bucket.dead })
+                    .collect()
             })
             .collect();
-        let batches_ingested = self.batches_ingested as u64;
-        IndexDump {
+        IndexDumpRef {
             bands,
-            removed: self.removed.clone(),
-            entity_of: self.entity_of.clone(),
+            removed: &self.removed,
+            entity_of: &self.entity_of,
             running: self.running,
-            batches_ingested,
+            batches_ingested: self.batches_ingested as u64,
             compactions: self.compactions,
             compaction_threshold: self.compaction_threshold,
         }
@@ -191,11 +279,12 @@ impl IncrementalSaLshBlocker {
             .bands
             .into_iter()
             .map(|buckets| {
-                let mut band = BandIndex::default();
+                let mut band = BandIndex::new();
                 for bucket in buckets {
-                    band.insert(bucket.key, Bucket { members: bucket.members, dead: bucket.dead });
+                    band.shard_mut(bucket.key)
+                        .insert(bucket.key, Bucket { members: bucket.members, dead: bucket.dead });
                 }
-                Arc::new(band)
+                band
             })
             .collect();
         self.bucket_refs = bucket_refs;

@@ -2,10 +2,12 @@
 //!
 //! [`IndexView`] is the reader half of a single-writer/many-reader split:
 //! [`IncrementalSaLshBlocker::publish_view`] freezes the current index state
-//! behind shared [`Arc`]s in O(bands), and the view then answers candidate
-//! lookups ([`IndexView::candidates`]) and snapshots without ever touching
-//! the writer again — the writer's next mutation copies the shards it
-//! touches ([`Arc::make_mut`]) instead of mutating the shared ones. Views
+//! by cloning the `Arc` of every band sub-shard — no bucket is copied — and
+//! the view then answers candidate lookups ([`IndexView::candidates`]) and
+//! snapshots without ever touching the writer again. The writer's next
+//! mutation copies only the sub-shards it writes to
+//! ([`Arc::make_mut`](std::sync::Arc::make_mut)) instead of mutating the
+//! shared ones. Views
 //! are `Send + Sync` (the semantic function is `Send + Sync` by trait
 //! bound), so a service layer can hand clones of one view to any number of
 //! query threads, lock-free.
@@ -22,8 +24,6 @@
 //! `tests/service_equivalence.rs`): sharing a bucket with the probe is the
 //! same predicate in both directions.
 
-use std::sync::Arc;
-
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::{Record, RecordId};
 use sablock_textual::hashing::StableHashSet;
@@ -37,8 +37,9 @@ use crate::minhash::MinHasher;
 use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, IncrementalSemantic, RunningCounts};
 
 /// An immutable view of an [`IncrementalSaLshBlocker`] frozen at a
-/// publication point (see the module docs). Cloning a view is cheap — the
-/// bucket shards are shared, only the bookkeeping vectors are copied.
+/// publication point (see the module docs). Capturing or cloning a view
+/// clones one `Arc` per band sub-shard and copies the per-record bookkeeping
+/// vectors; the buckets themselves stay shared.
 #[derive(Debug, Clone)]
 pub struct IndexView {
     name: String,
@@ -46,7 +47,7 @@ pub struct IndexView {
     hasher: MinHasher,
     banding: BandingScheme,
     semantic: Option<IncrementalSemantic>,
-    bands: Vec<Arc<BandIndex>>,
+    bands: Vec<BandIndex>,
     removed: Vec<bool>,
     entity_of: Vec<EntityId>,
     running: RunningCounts,
@@ -165,7 +166,7 @@ pub(super) fn probe_candidates(
     hasher: &MinHasher,
     banding: &BandingScheme,
     semantic: Option<&IncrementalSemantic>,
-    bands: &[Arc<BandIndex>],
+    bands: &[BandIndex],
     removed: &[bool],
     record: &Record,
 ) -> Result<Vec<RecordId>> {
@@ -290,6 +291,47 @@ mod tests {
         assert_eq!(late.snapshot().blocks(), incremental.snapshot().blocks());
         assert_eq!(late.running_counts(), incremental.running_counts());
         assert_eq!(early.next_record_id(), RecordId(4));
+    }
+
+    /// Sub-shards the blocker no longer shares with the view.
+    fn unshared(view: &IndexView, blocker: &IncrementalSaLshBlocker) -> usize {
+        view.bands
+            .iter()
+            .zip(&blocker.bands)
+            .flat_map(|(frozen, head)| frozen.shards.iter().zip(&head.shards))
+            .filter(|(frozen, head)| !std::sync::Arc::ptr_eq(frozen, head))
+            .count()
+    }
+
+    #[test]
+    fn writes_copy_only_the_sub_shards_they_touch() {
+        let dataset = sample_dataset();
+        let (_, mut incremental) = salsh_pair();
+        incremental.insert_batch(&dataset.records()[..7]).unwrap();
+        let total: usize = incremental.bands.iter().map(|band| band.shards.len()).sum();
+
+        // One insert: at most one copied sub-shard per (band, sub-key)
+        // placement of the new record.
+        let view = incremental.publish_view();
+        incremental.insert_batch(&dataset.records()[7..]).unwrap();
+        let placements = incremental.bucket_refs[7].len();
+        let copied = unshared(&view, &incremental);
+        assert!(placements > 0, "the new record is indexed");
+        assert!((1..=placements).contains(&copied), "{copied} sub-shards copied for {placements} placements");
+        assert!(copied < total / 16, "{copied} of {total} sub-shards copied");
+
+        // One removal: at most the removed record's placements.
+        let view = incremental.publish_view();
+        let placements = incremental.bucket_refs[1].len();
+        assert!(incremental.remove(RecordId(1)).unwrap());
+        let copied = unshared(&view, &incremental);
+        assert!((1..=placements).contains(&copied), "{copied} sub-shards copied for {placements} placements");
+
+        // An empty batch and a repeated removal unshare nothing.
+        let view = incremental.publish_view();
+        incremental.insert_batch(&[]).unwrap();
+        assert!(!incremental.remove(RecordId(1)).unwrap());
+        assert_eq!(unshared(&view, &incremental), 0);
     }
 
     #[test]

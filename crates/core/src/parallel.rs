@@ -54,37 +54,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Applies `f` to every element of `items` **in place**, in parallel,
-/// returning the per-element results in input order.
-///
-/// The mutable counterpart of [`parallel_map`], for stages that own a
-/// disjoint shard per element — e.g. the incremental blocker's per-band
-/// bucket maps, where each worker mutates only its own band's index. As
-/// with [`parallel_map`], one worker (or a tiny input) degrades to a plain
-/// sequential pass, so results and final element states are identical
-/// regardless of thread count.
-pub fn parallel_map_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(&mut T) -> U + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || items.len() < 2 {
-        return items.iter_mut().map(&f).collect();
-    }
-    let chunk_size = items.len().div_ceil(threads);
-    let results: Vec<Vec<U>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_size)
-            .map(|chunk| scope.spawn(|| chunk.iter_mut().map(&f).collect::<Vec<U>>()))
-            .collect();
-        // sablock-lint: allow(panic-reachability): join only re-raises a panic that already happened on the worker; it introduces no new failure
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-    results.into_iter().flatten().collect()
-}
-
 /// Runs every task on its own scoped worker thread and returns their results
 /// in task order, after all of them finish.
 ///
@@ -339,26 +308,6 @@ mod tests {
             let got = parallel_map(&items, threads, |x| x * x + 1);
             assert_eq!(got, expected, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn parallel_map_mut_matches_sequential_and_mutates_in_place() {
-        let expected_items: Vec<u64> = (0..500).map(|x| x + 1).collect();
-        let expected_results: Vec<u64> = (0..500u64).collect();
-        for threads in [1, 2, 4, 8] {
-            let mut items: Vec<u64> = (0..500).collect();
-            let results = parallel_map_mut(&mut items, threads, |x| {
-                let before = *x;
-                *x += 1;
-                before
-            });
-            assert_eq!(items, expected_items, "threads = {threads}");
-            assert_eq!(results, expected_results, "threads = {threads}");
-        }
-        let mut empty: Vec<u64> = vec![];
-        assert!(parallel_map_mut(&mut empty, 4, |x| *x).is_empty());
-        let mut one = vec![9u64];
-        assert_eq!(parallel_map_mut(&mut one, 4, |x| *x * 2), vec![18]);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 use std::path::Path;
 
-use sablock_core::incremental::{BucketDump, IndexDump, RunningCounts};
+use sablock_core::incremental::{BucketDump, IndexDump, IndexDumpRef, RunningCounts};
 use sablock_datasets::{RecordId, Schema};
 
 use crate::error::{Result, ServeError};
@@ -104,6 +104,16 @@ pub(crate) fn push_string(out: &mut Vec<u8>, text: &str) -> Result<()> {
 
 /// Encodes a snapshot to bytes (see the module docs for the layout).
 pub fn to_bytes(name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<Vec<u8>> {
+    encode(name, schema, &dump.borrowed(), store)
+}
+
+/// [`to_bytes`] over the borrowed state of a live index
+/// ([`IncrementalSaLshBlocker::dump_ref`]), so a checkpoint encodes the
+/// buckets without cloning them first. Byte-identical to [`to_bytes`] of
+/// the owned dump.
+///
+/// [`IncrementalSaLshBlocker::dump_ref`]: sablock_core::incremental::IncrementalSaLshBlocker::dump_ref
+pub fn encode(name: &str, schema: &Schema, dump: &IndexDumpRef<'_>, store: &RecordStore) -> Result<Vec<u8>> {
     let records = dump.removed.len();
     if store.len() != records {
         return Err(ServeError::Protocol(format!(
@@ -129,7 +139,7 @@ pub fn to_bytes(name: &str, schema: &Schema, dump: &IndexDump, store: &RecordSto
         out.push(byte);
     }
     push_len(&mut out, dump.entity_of.len())?;
-    for entity in &dump.entity_of {
+    for entity in dump.entity_of {
         push_u32(&mut out, entity.0);
     }
     push_u64(&mut out, dump.running.pairs);
@@ -145,7 +155,7 @@ pub fn to_bytes(name: &str, schema: &Schema, dump: &IndexDump, store: &RecordSto
             push_u64(&mut out, bucket.key.1);
             push_u32(&mut out, bucket.dead);
             push_len(&mut out, bucket.members.len())?;
-            for member in &bucket.members {
+            for member in bucket.members {
                 push_u32(&mut out, member.0);
             }
         }
@@ -339,8 +349,14 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile> {
 /// a crash mid-write can leave a stale snapshot or a stray temp file but
 /// never a torn one under the target name. The containing directory is
 /// fsynced best-effort to persist the rename itself.
-pub fn save_to_path(path: &Path, name: &str, schema: &Schema, dump: &IndexDump, store: &RecordStore) -> Result<()> {
-    let bytes = to_bytes(name, schema, dump, store)?;
+pub fn save_to_path(
+    path: &Path,
+    name: &str,
+    schema: &Schema,
+    dump: &IndexDumpRef<'_>,
+    store: &RecordStore,
+) -> Result<()> {
+    let bytes = encode(name, schema, dump, store)?;
     write_atomically(path, &bytes)
 }
 
@@ -380,4 +396,63 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 pub fn read_from_path(path: &Path) -> Result<SnapshotFile> {
     let bytes = std::fs::read(path)?;
     from_bytes(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sablock_core::incremental::IncrementalBlocker;
+    use sablock_core::prelude::SaLshBlocker;
+    use sablock_datasets::Record;
+    use std::sync::Arc;
+
+    #[test]
+    fn borrowed_encoding_is_byte_identical_to_the_owned_dump() {
+        let schema = Schema::shared(["title"]).unwrap();
+        let titles = [
+            "a theory for record linkage",
+            "a theory of record linkage",
+            "the theory of record linkage",
+            "theory of record linkage",
+            "efficient clustering of high dimensional data sets",
+            "efficient clustering of high dimensional data",
+            "",
+            "cascade correlation learning architecture",
+            "the cascade correlation learning architecture",
+        ];
+        let records: Vec<Record> = titles
+            .iter()
+            .enumerate()
+            .map(|(index, title)| {
+                let value = (!title.is_empty()).then(|| (*title).to_string());
+                Record::new(RecordId::try_from_index(index).unwrap(), Arc::clone(&schema), vec![value]).unwrap()
+            })
+            .collect();
+        let mut head = SaLshBlocker::builder()
+            .attributes(["title"])
+            .qgram(2)
+            .bands(12)
+            .rows_per_band(2)
+            .seed(0xB10C)
+            .into_incremental()
+            .unwrap();
+        head.insert_batch(&records[..5]).unwrap();
+        head.insert_batch(&records[5..]).unwrap();
+        for victim in [1u32, 4, 8] {
+            head.remove(RecordId(victim)).unwrap();
+        }
+        let mut store = RecordStore::new();
+        store.append(records).unwrap();
+
+        let owned = head.dump();
+        assert!(head.num_compactions() > 0, "some removal compacted its bucket");
+        assert!(
+            owned.bands.iter().flatten().any(|bucket| bucket.dead > 0),
+            "some tombstone lingers uncompacted"
+        );
+        let borrowed = encode("index", &schema, &head.dump_ref(), &store).unwrap();
+        assert_eq!(borrowed, to_bytes("index", &schema, &owned, &store).unwrap());
+        assert_eq!(head.dump_ref().to_dump(), owned);
+        assert_eq!(from_bytes(&borrowed).unwrap().dump, owned);
+    }
 }

@@ -471,13 +471,24 @@ impl CandidateService {
     /// durable prefix. Reads keep serving the last published epoch
     /// throughout.
     pub fn apply(&self, ops: Vec<WriteOp>) -> Result<Arc<EpochState>> {
-        let mut writer = self.lock_writer();
-        self.apply_locked(&mut writer, ops)
+        let mut superseded = None;
+        let state = self.apply_locked(&mut self.lock_writer(), ops, &mut superseded);
+        // Both locks are released: freeing the previous epoch here stalls
+        // neither the next writer nor readers calling `current()`.
+        drop(superseded);
+        state
     }
 
     /// The shared write path (writer lock held): WAL append first, then
-    /// apply-prefix-and-publish.
-    fn apply_locked(&self, writer: &mut WriterState, ops: Vec<WriteOp>) -> Result<Arc<EpochState>> {
+    /// apply-prefix-and-publish. The epoch the publication replaced is
+    /// handed back through `superseded` for the caller to drop once the
+    /// writer lock is released.
+    fn apply_locked(
+        &self,
+        writer: &mut WriterState,
+        ops: Vec<WriteOp>,
+        superseded: &mut Option<Arc<EpochState>>,
+    ) -> Result<Arc<EpochState>> {
         if let Some(reason) = &writer.poisoned {
             return Err(ServeError::WriterPoisoned { reason: reason.clone() });
         }
@@ -501,7 +512,8 @@ impl CandidateService {
                 break;
             }
         }
-        let state = Self::publish(&self.published, writer);
+        let (state, previous) = Self::publish(&self.published, writer);
+        *superseded = Some(previous);
         match failure {
             Some(error) => Err(error),
             None => Ok(state),
@@ -525,18 +537,22 @@ impl CandidateService {
         }
     }
 
-    fn publish(published: &RwLock<Arc<EpochState>>, writer: &mut WriterState) -> Arc<EpochState> {
+    /// Publishes the head as the next epoch. Returns the new epoch and the
+    /// one it replaced, moved out of the slot rather than dropped under the
+    /// write guard: the last reference to an epoch frees every sub-shard the
+    /// writer has since copied.
+    fn publish(published: &RwLock<Arc<EpochState>>, writer: &mut WriterState) -> (Arc<EpochState>, Arc<EpochState>) {
         writer.epoch += 1;
         let state = Arc::new(EpochState {
             epoch: writer.epoch,
             view: writer.head.publish_view(),
             store: writer.store.clone(),
         });
-        {
+        let previous = {
             let _epoch_guard = lockorder::note_epoch_guard();
-            *published.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&state);
-        }
-        state
+            std::mem::replace(&mut *published.write().unwrap_or_else(PoisonError::into_inner), Arc::clone(&state))
+        };
+        (state, previous)
     }
 
     /// Inserts one batch of records ([`WriteOp::Insert`]) as its own epoch.
@@ -559,7 +575,12 @@ impl CandidateService {
                 Record::new(id, Arc::clone(&self.schema), values)
             })
             .collect::<std::result::Result<Vec<Record>, _>>()?;
-        self.apply_locked(&mut writer, vec![WriteOp::Insert(records)])
+        let mut superseded = None;
+        let state = self.apply_locked(&mut writer, vec![WriteOp::Insert(records)], &mut superseded);
+        // As in `apply`: the previous epoch is freed outside both locks.
+        drop(writer);
+        drop(superseded);
+        state
     }
 
     /// Tombstones one record ([`WriteOp::Remove`]) as its own epoch.
@@ -590,7 +611,7 @@ impl CandidateService {
     /// the writer lock, so the snapshot is a real epoch boundary.
     pub fn save(&self, path: &Path) -> Result<()> {
         let writer = self.lock_writer();
-        persist::save_to_path(path, &self.name, &self.schema, &writer.head.dump(), &writer.store)
+        persist::save_to_path(path, &self.name, &self.schema, &writer.head.dump_ref(), &writer.store)
     }
 
     /// Restores a service from a snapshot file written by
@@ -630,7 +651,7 @@ impl CandidateService {
             return Err(ServeError::Protocol("CHECKPOINT requires a durable (WAL-backed) service".into()));
         };
         let path = wal::snapshot_path(wal.dir(), epoch);
-        persist::save_to_path(&path, &self.name, &self.schema, &writer.head.dump(), &writer.store)?;
+        persist::save_to_path(&path, &self.name, &self.schema, &writer.head.dump_ref(), &writer.store)?;
         if let Some(wal) = writer.wal.as_mut() {
             if let Err(error) = wal.checkpoint_rotate(epoch) {
                 writer.poisoned = Some(error.to_string());

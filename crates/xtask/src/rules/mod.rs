@@ -62,8 +62,8 @@ pub const RULES: &[Rule] = &[
         applies: everywhere,
         check: thread_confinement::check,
         help: "all parallelism goes through core::parallel (deterministic chunk-and-stitch); call \
-               parallel_map/parallel_map_mut, join_all, or worker_pool/JobQueue instead of spawning \
-               threads or holding JoinHandles directly",
+               parallel_map, join_all, or worker_pool/JobQueue instead of spawning threads or holding \
+               JoinHandles directly",
     },
     Rule {
         name: "raw-sentinel",

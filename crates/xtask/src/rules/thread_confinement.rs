@@ -1,10 +1,10 @@
 //! `thread-confinement`: direct `std::thread` use outside `core::parallel`.
 //!
 //! Determinism across thread counts holds because every parallel path in the
-//! workspace goes through `core::parallel` — `parallel_map` /
-//! `parallel_map_mut` (chunk in input order, stitch in input order),
-//! `join_all` (results in spawn order), or the bounded `worker_pool` /
-//! `JobQueue` pair the service front-end runs on — and sizes itself via
+//! workspace goes through `core::parallel` — `parallel_map` (chunk in
+//! input order, stitch in input order), `join_all` (results in spawn
+//! order), or the bounded `worker_pool` / `JobQueue` pair the service
+//! front-end runs on — and sizes itself via
 //! `resolve_threads`. A stray `std::thread::spawn` elsewhere would create an
 //! execution order the determinism tests cannot pin, and a hand-held
 //! `JoinHandle` is the telltale of exactly that. The rule fires on any
@@ -27,8 +27,8 @@ pub(super) fn check(file: &FileTokens<'_>, findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "thread-confinement",
                 message: "`JoinHandle` held outside core::parallel — spawn through the sanctioned \
-                          confinement points (parallel_map/parallel_map_mut, join_all, or \
-                          worker_pool/JobQueue), which own their joins"
+                          confinement points (parallel_map, join_all, or worker_pool/JobQueue), \
+                          which own their joins"
                     .to_string(),
                 line: token.line,
                 col: token.col,

@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut index = preloaded.clone();
             let delta = index.insert_batch(black_box(batch)).expect("insert");
-            black_box(delta.runs().len())
+            black_box(delta.num_pairs())
         })
     });
     group.bench_function(format!("rebuild_block_{DATASET_RECORDS}r"), |b| {

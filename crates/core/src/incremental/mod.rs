@@ -22,12 +22,10 @@
 //! before. Because a pair between two *old* records cannot appear by adding
 //! new records, the delta is exactly the set of bucket-sharing pairs that
 //! involve at least one new record — enumerable from the touched buckets
-//! alone. Deltas are carried as sorted, deduplicated packed-`u64` runs
+//! alone. Each band's delta is a sorted, deduplicated packed-`u64` run
 //! ([`RecordPair::pack`]), the same representation every bulk pair path of
-//! [`crate::blocking`] runs on; the runs are merged into the delta's
-//! distinct-key cache **once per generation** (during the ingest fold that
-//! updates the running counters), so [`DeltaPairs::counts`] and
-//! [`DeltaPairs::num_pairs`] never re-scan the redundant runs. Absent
+//! [`crate::blocking`] runs on; ingest merges the band runs once into the
+//! delta's sorted distinct keys, which is all a [`DeltaPairs`] holds. Absent
 //! removals, deltas of successive batches are **disjoint**: summing
 //! per-batch [`PairCounts`] equals a from-scratch count of the merged whole,
 //! byte for byte.
@@ -50,7 +48,7 @@
 //! time), deduplicating across bands so each retired pair is subtracted
 //! exactly once. Tombstoned members linger in their buckets until the
 //! bucket's dead fraction crosses the compaction threshold
-//! ([`IncrementalSaLshBlocker::set_compaction_threshold`]), at which point
+//! ([`IncrementalSaLshBlocker::with_compaction_threshold`]), at which point
 //! the `(band, bucket)` shard is rebuilt in place — an observation-
 //! equivalent operation: snapshots, running counts and all future deltas are
 //! byte-identical with or without compaction (property-tested in
@@ -73,6 +71,8 @@
 //! the taxonomy — and equivalence holds against a one-shot blocker pinned to
 //! the same family (which, for datasets whose records reach every leaf, is
 //! exactly what Algorithm 1 derives; NC Voter does at any realistic scale).
+//!
+//! [`SemanticConfig::with_pinned_family`]: crate::lsh::SemanticConfig::with_pinned_family
 
 mod state;
 mod view;
@@ -81,10 +81,6 @@ pub use state::{BucketDump, BucketDumpRef, IndexDump, IndexDumpRef};
 pub use view::IndexView;
 
 use std::sync::Arc;
-use std::sync::OnceLock;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use sablock_datasets::ground_truth::EntityId;
 use sablock_datasets::record::RecordPair;
@@ -95,46 +91,16 @@ use crate::blocking::{
     merge_packed_runs_into, radix_sort_packed, Block, BlockCollection, EntityTableProbe, PackedProbe, PairCounts,
 };
 use crate::error::{CoreError, Result};
-use crate::lsh::semantic_hash::WWaySemanticHash;
-use crate::lsh::{BandingScheme, SemanticConfig};
-use crate::minhash::shingle::RecordShingler;
-use crate::minhash::{MinHasher, MinhashConfig};
+use crate::lsh::salsh::{key_groups, Placement, Placer};
 use crate::parallel::{parallel_map, resolve_threads};
 use crate::semantic::semhash::SemhashFamily;
 
-/// The candidate pairs one ingest batch added to Γ, as sorted and
-/// individually deduplicated packed-`u64` runs (one run per band; a pair
-/// colliding in several bands appears in several runs), plus a lazily
-/// materialised cache of the **distinct** keys across all runs.
-///
-/// The cache is populated exactly once per delta generation — by the ingest
-/// fold that maintains the blocker's [`RunningCounts`], or on the first
-/// counting call for hand-built deltas — so repeated [`DeltaPairs::counts`]
-/// / [`DeltaPairs::num_pairs`] calls never re-merge the redundant runs.
-#[derive(Debug, Default)]
+/// The candidate pairs one ingest batch added to Γ, as sorted distinct
+/// packed-`u64` keys ([`RecordPair::pack`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaPairs {
-    runs: Vec<Vec<u64>>,
-    merged: OnceLock<Vec<u64>>,
+    keys: Vec<u64>,
 }
-
-impl Clone for DeltaPairs {
-    fn clone(&self) -> Self {
-        let merged = OnceLock::new();
-        if let Some(cached) = self.merged.get() {
-            let _ = merged.set(cached.clone());
-        }
-        Self { runs: self.runs.clone(), merged }
-    }
-}
-
-impl PartialEq for DeltaPairs {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state: two deltas are equal iff their runs are.
-        self.runs == other.runs
-    }
-}
-
-impl Eq for DeltaPairs {}
 
 impl DeltaPairs {
     /// A delta with no pairs.
@@ -142,74 +108,32 @@ impl DeltaPairs {
         Self::default()
     }
 
-    pub(crate) fn from_runs(runs: Vec<Vec<u64>>) -> Self {
-        Self {
-            runs: runs.into_iter().filter(|run| !run.is_empty()).collect(),
-            merged: OnceLock::new(),
-        }
-    }
-
-    /// A delta whose distinct keys were already merged (the ingest fold
-    /// counts the runs while producing them, so the cache comes for free).
-    pub(crate) fn from_counted_runs(runs: Vec<Vec<u64>>, merged: Vec<u64>) -> Self {
-        let delta = Self::from_runs(runs);
-        let _ = delta.merged.set(merged);
-        delta
-    }
-
-    /// The sorted, deduplicated packed runs.
-    pub fn runs(&self) -> &[Vec<u64>] {
-        &self.runs
-    }
-
     /// Whether the delta holds no pairs at all.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.keys.is_empty()
     }
 
-    /// The delta's distinct packed pair keys in ascending order. Merged from
-    /// the redundant per-band runs at most once per delta generation (the
-    /// loser-tree/galloping merge of [`crate::blocking`]) and cached.
+    /// The delta's distinct packed pair keys in ascending order.
     pub fn distinct_packed(&self) -> &[u64] {
-        self.merged.get_or_init(|| {
-            let mut merged: Vec<u64> = Vec::with_capacity(self.runs.iter().map(Vec::len).sum());
-            merge_packed_runs_into(&self.runs, |segment| merged.extend_from_slice(segment));
-            merged
-        })
+        &self.keys
     }
 
-    /// Whether the distinct-key cache is populated. Deltas returned by
-    /// [`IncrementalBlocker::insert_batch`] always are; a hand-built delta
-    /// becomes counted on its first [`DeltaPairs::counts`] /
-    /// [`DeltaPairs::num_pairs`] / [`DeltaPairs::pairs`] call.
-    pub fn is_counted(&self) -> bool {
-        self.merged.get().is_some()
-    }
-
-    /// Counts the delta's distinct pairs, probing each **exactly once** over
-    /// the cached distinct-key run — repeated calls never re-scan the
-    /// redundant per-band runs (regression-tested in this module).
+    /// Counts the delta's distinct pairs, probing each exactly once.
     pub fn counts<P: PackedProbe>(&self, probe: &P) -> PairCounts {
-        let distinct = self.distinct_packed();
-        let mut matching = 0u64;
-        for &key in distinct {
-            if probe.matches(key) {
-                matching += 1;
-            }
-        }
-        PairCounts { distinct: distinct.len() as u64, matching }
+        let matching = self.keys.iter().filter(|&&key| probe.matches(key)).count();
+        PairCounts { distinct: self.keys.len() as u64, matching: matching as u64 }
     }
 
-    /// Number of distinct pairs in the delta — O(1) once counted.
+    /// Number of distinct pairs in the delta.
     pub fn num_pairs(&self) -> u64 {
-        self.distinct_packed().len() as u64
+        self.keys.len() as u64
     }
 
     /// Materialises the delta's distinct pairs in ascending order (tests,
     /// goldens, small deltas — bulk consumers should stay on the packed
-    /// runs).
+    /// keys).
     pub fn pairs(&self) -> Vec<RecordPair> {
-        self.distinct_packed().iter().copied().map(RecordPair::from_packed).collect()
+        self.keys.iter().copied().map(RecordPair::from_packed).collect()
     }
 }
 
@@ -275,16 +199,6 @@ pub trait IncrementalBlocker {
     /// The current blocking as a [`BlockCollection`] — byte-identical to
     /// one-shot blocking of all live (non-removed) records.
     fn snapshot(&self) -> BlockCollection;
-}
-
-/// The pinned semantic state of an incremental SA-LSH index: family and
-/// per-band w-way hash functions are fixed at construction, so a record's
-/// sub-block keys never change after ingestion.
-#[derive(Debug, Clone)]
-struct IncrementalSemantic {
-    config: SemanticConfig,
-    family: SemhashFamily,
-    band_hashes: Vec<WWaySemanticHash>,
 }
 
 /// One bucket of a band shard: members in ascending id order (tombstoned
@@ -425,27 +339,13 @@ struct BucketRef {
     key: (u64, u64),
 }
 
-/// What one band's ingest worker hands back: the band's `(bucket key,
-/// record)` placements (sorted by key, ids ascending within a key — applied
-/// to the index and turned into back-references by the calling thread) and
-/// the band's sorted, deduplicated delta run.
+/// What one band's ingest worker hands back: the band's placements (sorted
+/// by key, ids ascending within a key — applied to the index and turned into
+/// back-references by the calling thread) and the band's sorted,
+/// deduplicated delta run.
 struct BandOutcome {
     touched: Vec<Placement>,
     delta_run: Vec<u64>,
-}
-
-/// One record placed in one bucket: `(bucket key, record)`.
-type Placement = ((u64, u64), RecordId);
-
-/// Splits key-sorted placements into the runs that share one bucket key.
-fn key_groups(slots: &[Placement]) -> impl Iterator<Item = &[Placement]> {
-    let mut rest = slots;
-    std::iter::from_fn(move || {
-        let &(key, _) = rest.first()?;
-        let (group, tail) = rest.split_at(rest.iter().take_while(|slot| slot.0 == key).count());
-        rest = tail;
-        Some(group)
-    })
 }
 
 /// Default dead fraction at which a `(band, bucket)` shard is compacted in
@@ -463,15 +363,12 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.5;
 /// sub-shards and keyed by `(textual bucket key, semantic sub-key)` — plain
 /// LSH uses a constant sub-key of 0 — with members kept in ascending id
 /// order (batches arrive in id order and append). Sorting each band's keys
-/// and walking the bands in band order reproduces exactly the deterministic
-/// band-order merge of the one-shot sharded bucket phase.
+/// and walking the bands in band order reproduces exactly the band-order
+/// output of one-shot blocking, which places records through the same
+/// kernel.
 #[derive(Debug, Clone)]
 pub struct IncrementalSaLshBlocker {
-    shingler: RecordShingler,
-    minhash: MinhashConfig,
-    banding: BandingScheme,
-    hasher: MinHasher,
-    semantic: Option<IncrementalSemantic>,
+    placer: Placer,
     threads: Option<usize>,
     bands: Vec<BandIndex>,
     /// Per-record bucket back-references; emptied when the record is
@@ -496,40 +393,12 @@ pub struct IncrementalSaLshBlocker {
 }
 
 impl IncrementalSaLshBlocker {
-    /// Assembles an incremental index from the (validated) parts of a
-    /// [`SaLshBlocker`](crate::lsh::salsh::SaLshBlocker).
-    pub(crate) fn from_parts(
-        shingler: RecordShingler,
-        minhash: MinhashConfig,
-        banding: BandingScheme,
-        semantic: Option<SemanticConfig>,
-        threads: Option<usize>,
-    ) -> Result<Self> {
-        let semantic = match semantic {
-            Some(config) => {
-                config.validate()?;
-                // The family must be fixed for the index's whole lifetime
-                // (module docs): pinned wins, all taxonomy leaves otherwise.
-                let family = match &config.pinned_family {
-                    Some(family) => family.clone(),
-                    None => SemhashFamily::from_all_leaves(&config.taxonomy)?,
-                };
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                let band_hashes = (0..banding.bands())
-                    .map(|_| WWaySemanticHash::sample(family.len(), config.w, config.mode, &mut rng))
-                    .collect::<Result<Vec<_>>>()?;
-                Some(IncrementalSemantic { config, family, band_hashes })
-            }
-            None => None,
-        };
-        let hasher = MinHasher::from_config(&minhash);
-        let bands = (0..banding.bands()).map(|_| BandIndex::new()).collect();
-        Ok(Self {
-            shingler,
-            minhash,
-            banding,
-            hasher,
-            semantic,
+    /// Assembles an empty incremental index around a placement kernel whose
+    /// semhash family is fixed for the index's whole lifetime (module docs).
+    pub(crate) fn new(placer: Placer, threads: Option<usize>) -> Self {
+        let bands = (0..placer.banding.bands()).map(|_| BandIndex::new()).collect();
+        Self {
+            placer,
             threads,
             bands,
             bucket_refs: Vec::new(),
@@ -544,7 +413,7 @@ impl IncrementalSaLshBlocker {
             batches_ingested: 0,
             #[cfg(feature = "check-invariants")]
             emitted_delta_keys: std::collections::BTreeSet::new(),
-        })
+        }
     }
 
     /// The id the next ingested record must carry.
@@ -593,13 +462,8 @@ impl IncrementalSaLshBlocker {
     /// (forced [`IncrementalSaLshBlocker::compact`] still works). Compaction
     /// is observation-equivalent — snapshots, running counts and future
     /// deltas do not depend on the threshold.
-    pub fn set_compaction_threshold(&mut self, fraction: f64) {
-        self.compaction_threshold = fraction;
-    }
-
-    /// Builder-style [`IncrementalSaLshBlocker::set_compaction_threshold`].
     pub fn with_compaction_threshold(mut self, fraction: f64) -> Self {
-        self.set_compaction_threshold(fraction);
+        self.compaction_threshold = fraction;
         self
     }
 
@@ -623,7 +487,7 @@ impl IncrementalSaLshBlocker {
     /// The semhash family the semantic component is pinned to, if any —
     /// pin the same family on a one-shot blocker to compare byte-for-byte.
     pub fn pinned_family(&self) -> Option<&SemhashFamily> {
-        self.semantic.as_ref().map(|s| &s.family)
+        self.placer.semantic.as_ref().map(|semantic| &semantic.family)
     }
 
     /// Publishes an immutable [`IndexView`] of the current index state.
@@ -645,15 +509,7 @@ impl IncrementalSaLshBlocker {
     /// equivalence contract; this is the same lookup run directly on the
     /// mutable head.
     pub fn query_candidates(&self, record: &Record) -> Result<Vec<RecordId>> {
-        view::probe_candidates(
-            &self.shingler,
-            &self.hasher,
-            &self.banding,
-            self.semantic.as_ref(),
-            &self.bands,
-            &self.removed,
-            record,
-        )
+        view::probe_candidates(&self.placer, &self.bands, &self.removed, record)
     }
 
     /// Convenience ingest from raw rows: wraps each row in a [`Record`] with
@@ -683,12 +539,6 @@ impl IncrementalSaLshBlocker {
     /// table would misalign with the id space).
     pub fn insert_batch_with_entities(&mut self, records: &[Record], entities: &[EntityId]) -> Result<&DeltaPairs> {
         self.ingest(records, Some(entities))
-    }
-
-    /// [`IncrementalBlocker::insert_batch`] taking ownership (avoids the
-    /// caller keeping a second copy of the batch alive).
-    pub fn insert_batch_owned(&mut self, records: Vec<Record>) -> Result<&DeltaPairs> {
-        self.ingest(&records, None)
     }
 
     fn wrap_rows(&self, schema: &Arc<Schema>, rows: Vec<Vec<Option<String>>>) -> Result<Vec<Record>> {
@@ -732,7 +582,7 @@ impl IncrementalSaLshBlocker {
             if validated.is_some_and(|schema| Arc::ptr_eq(schema, record.schema())) {
                 continue;
             }
-            for attribute in self.shingler.attributes() {
+            for attribute in self.placer.shingler.attributes() {
                 if record.schema().index_of(attribute).is_none() {
                     return Err(CoreError::Config(format!(
                         "attribute '{attribute}' selected for blocking does not exist in the schema of the \
@@ -772,19 +622,8 @@ impl IncrementalSaLshBlocker {
         let threads = resolve_threads(self.threads, records.len());
 
         // Signatures of the new records only — the existing index is never
-        // recomputed. Same parallel shape as the one-shot pipeline.
-        let shingles = parallel_map(records, threads, |record| self.shingler.shingles(record));
-        let signatures = parallel_map(&shingles, threads, |set| self.hasher.signature(set));
-        let sem_signatures = match &self.semantic {
-            Some(semantic) => {
-                let function = &semantic.config.function;
-                let interpretations = parallel_map(records, threads, |record| function.interpret(record));
-                Some(parallel_map(&interpretations, threads, |interp| {
-                    semantic.family.signature(&semantic.config.taxonomy, interp)
-                }))
-            }
-            None => None,
-        };
+        // recomputed.
+        let batch = self.placer.signatures(records, None, threads);
 
         // The entity table must cover the new ids before the counting fold
         // below probes the delta pairs.
@@ -798,38 +637,18 @@ impl IncrementalSaLshBlocker {
         // outcomes in ascending band order so every derived structure is
         // deterministic for any worker count.
         let removed: &[bool] = &self.removed;
-        let banding = &self.banding;
-        let semantic = &self.semantic;
+        let placer = &self.placer;
         let bands = &self.bands;
         let band_ids: Vec<usize> = (0..bands.len()).collect();
         let outcomes: Vec<BandOutcome> = parallel_map(&band_ids, threads, |&band| {
-            let mut slots: Vec<Placement> = Vec::new();
-            for (offset, signature) in signatures.iter().enumerate() {
-                if shingles[offset].is_empty() {
-                    continue;
-                }
-                let id = records[offset].id();
-                let bucket = banding.band_key(signature, band);
-                match (semantic, &sem_signatures) {
-                    (Some(semantic), Some(sems)) => {
-                        for sub in semantic.band_hashes[band].sub_keys(&sems[offset]) {
-                            slots.push(((bucket, sub as u64), id)); // sablock-lint: allow(lossy-id-cast): usize sub-key index → u64 widens losslessly
-                        }
-                    }
-                    _ => slots.push(((bucket, 0), id)),
-                }
-            }
-            // Group placements by bucket key; ids stay ascending within a
-            // key (the batch arrives in id order and the sort key ends on
-            // the id).
-            slots.sort_unstable();
+            let touched = placer.place(&batch, band);
 
             // Delta pairs of this band: existing live members × new members,
             // plus the new-member pairs, per touched bucket. Old ids are all
             // smaller than new ids and members are ascending, so every pair
             // packs ascending without canonicalisation.
             let mut delta_run: Vec<u64> = Vec::new();
-            for group in key_groups(&slots) {
+            for group in key_groups(&touched) {
                 if let Some(bucket) = bands[band].get(&group[0].0) {
                     for &old in &bucket.members {
                         if removed[old.index()] {
@@ -848,7 +667,7 @@ impl IncrementalSaLshBlocker {
             }
             radix_sort_packed(&mut delta_run);
             delta_run.dedup();
-            BandOutcome { touched: slots, delta_run }
+            BandOutcome { touched, delta_run }
         });
 
         if let Some(last) = records.last() {
@@ -875,26 +694,14 @@ impl IncrementalSaLshBlocker {
             runs.push(outcome.delta_run);
         }
 
-        // Fold the delta into the running counters in the same single merge
-        // pass that materialises the delta's distinct-key cache — the merge
-        // over the redundant runs happens exactly once per batch.
-        let mut merged: Vec<u64> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        let mut batch_counts = PairCounts::default();
-        {
-            let probe = EntityTableProbe::new(&self.entity_of);
-            merge_packed_runs_into(&runs, |segment| {
-                batch_counts.distinct += segment.len() as u64;
-                for &key in segment {
-                    if probe.matches(key) {
-                        batch_counts.matching += 1;
-                    }
-                }
-                merged.extend_from_slice(segment);
-            });
-        }
+        // The band runs are merged once into the delta's distinct keys, which
+        // the running counters then fold in.
+        let mut keys: Vec<u64> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        merge_packed_runs_into(&runs, |segment| keys.extend_from_slice(segment));
+        self.last_delta = DeltaPairs { keys };
+        let batch_counts = self.last_delta.counts(&EntityTableProbe::new(&self.entity_of));
         self.running.pairs += batch_counts.distinct;
         self.running.true_positives += batch_counts.matching;
-        self.last_delta = DeltaPairs::from_counted_runs(runs, merged);
         self.batches_ingested += 1;
         #[cfg(feature = "check-invariants")]
         {
@@ -907,11 +714,14 @@ impl IncrementalSaLshBlocker {
 
 impl IncrementalBlocker for IncrementalSaLshBlocker {
     fn name(&self) -> String {
+        let banding = &self.placer.banding;
         let base = format!(
             "k={},l={},q={}",
-            self.minhash.rows_per_band, self.minhash.bands, self.minhash.qgram
+            banding.rows_per_band(),
+            banding.bands(),
+            self.placer.shingler.qgram()
         );
-        match &self.semantic {
+        match &self.placer.semantic {
             Some(semantic) => format!("Incremental-SA-LSH({base},{})", semantic.config.describe()),
             None => format!("Incremental-LSH({base})"),
         }
@@ -1001,27 +811,21 @@ impl IncrementalBlocker for IncrementalSaLshBlocker {
     }
 
     fn snapshot(&self) -> BlockCollection {
-        snapshot_bands(&self.bands, &self.removed, self.semantic.is_some())
+        snapshot_bands(&self.placer, &self.bands, &self.removed)
     }
 }
 
 /// Renders the per-band bucket shards as a [`BlockCollection`] — the shared
 /// implementation of [`IncrementalBlocker::snapshot`] and
 /// [`IndexView::snapshot`].
-fn snapshot_bands(bands: &[BandIndex], removed: &[bool], semantic: bool) -> BlockCollection {
+fn snapshot_bands(placer: &Placer, bands: &[BandIndex], removed: &[bool]) -> BlockCollection {
     let mut blocks = Vec::new();
     for (band, buckets) in bands.iter().enumerate() {
-        for (&(bucket, sub), shard) in buckets.sorted() {
+        for (&key, shard) in buckets.sorted() {
             let live: Vec<RecordId> = shard.members.iter().copied().filter(|id| !removed[id.index()]).collect();
-            if live.len() < 2 {
-                continue;
+            if live.len() >= 2 {
+                blocks.push(Block::new(placer.block_key(band, key), live));
             }
-            let key = if semantic {
-                format!("b{band}:{bucket:016x}:g{sub}")
-            } else {
-                format!("b{band}:{bucket:016x}")
-            };
-            blocks.push(Block::new(key, live));
         }
     }
     BlockCollection::from_blocks(blocks)
@@ -1138,10 +942,8 @@ mod tests {
         let mut seen: Vec<RecordPair> = Vec::new();
         for chunk in dataset.records().chunks(2) {
             let delta = incremental.insert_batch(chunk).unwrap();
-            for run in delta.runs() {
-                assert!(run.windows(2).all(|w| w[0] < w[1]), "runs are strictly ascending");
-            }
             let pairs = delta.pairs();
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "delta pairs are strictly ascending");
             assert_eq!(pairs.len() as u64, delta.num_pairs());
             for pair in &pairs {
                 assert!(!seen.contains(pair), "pair {pair} emitted twice across batches");
@@ -1282,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_counts_cache_avoids_rescanning_runs() {
+    fn delta_counts_probe_each_distinct_pair_once() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         struct CountingProbe(AtomicU64);
@@ -1293,36 +1095,44 @@ mod tests {
             }
         }
 
-        // Hand-built delta: 6 redundant run entries, 4 distinct pairs.
-        let pack = |a: u32, b: u32| RecordPair::pack_ascending(RecordId(a), RecordId(b));
-        let runs = vec![
-            vec![pack(0, 1), pack(0, 2), pack(1, 2)],
-            vec![pack(0, 1), pack(1, 2), pack(2, 3)],
-        ];
-        let delta = DeltaPairs::from_runs(runs);
-        assert!(!delta.is_counted(), "a hand-built delta starts uncounted");
-        assert_eq!(delta.num_pairs(), 4);
-        assert!(delta.is_counted(), "the first count materialises the distinct-key cache");
-
-        let probe = CountingProbe(AtomicU64::new(0));
-        let first = delta.counts(&probe);
-        assert_eq!(first.distinct, 4);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 4, "each distinct pair probed exactly once, not per run entry");
-        let second = delta.counts(&probe);
-        assert_eq!(second.distinct, first.distinct);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 8, "a second call probes the cache, never the runs");
-
-        // Clones carry the cache; equality ignores it.
-        let cloned = delta.clone();
-        assert!(cloned.is_counted());
-        assert_eq!(cloned, delta);
-        assert!(!DeltaPairs::from_runs(vec![vec![pack(0, 1)]]).is_counted());
-
-        // Deltas produced by ingest are pre-counted by the counting fold.
+        // Twelve bands: near-duplicate titles collide in several of them, so
+        // the band runs repeat pairs that the delta holds once.
         let dataset = sample_dataset();
         let mut incremental = lsh_builder().into_incremental().unwrap();
         incremental.insert_batch(dataset.records()).unwrap();
-        assert!(incremental.delta_pairs().is_counted(), "insert_batch pre-populates the cache");
+        let snapshot = incremental.snapshot();
+        assert!(snapshot.redundant_pair_count() > snapshot.num_distinct_pairs(), "some pair collides in 2+ bands");
+        let delta = incremental.delta_pairs();
+        let probe = CountingProbe(AtomicU64::new(0));
+        for call in 1..=2u64 {
+            assert_eq!(delta.counts(&probe).distinct, delta.num_pairs());
+            assert_eq!(probe.0.load(Ordering::Relaxed), call * delta.num_pairs(), "call {call}");
+        }
+    }
+
+    #[test]
+    fn and_mode_ingest_matches_pinned_one_shot() {
+        let dataset = sample_dataset();
+        let tree = bibliographic_taxonomy();
+        let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
+        let family = SemhashFamily::from_all_leaves(&tree).unwrap();
+        let semantic = crate::lsh::SemanticConfig::new(tree, zeta)
+            .with_w(1)
+            .with_mode(SemanticMode::And)
+            .with_seed(11)
+            .with_pinned_family(family);
+        let builder = lsh_builder().semantic(semantic);
+        let reference = builder.clone().build().unwrap().block(&dataset).unwrap();
+        assert!(reference.num_blocks() > 0, "AND mode still pairs some records");
+        for batch_size in [1usize, 3, dataset.len()] {
+            let mut incremental = builder.clone().into_incremental().unwrap();
+            let mut cumulative = 0u64;
+            for chunk in dataset.records().chunks(batch_size) {
+                cumulative += incremental.insert_batch(chunk).unwrap().num_pairs();
+            }
+            assert_eq!(incremental.snapshot().blocks(), reference.blocks(), "batch_size={batch_size}");
+            assert_eq!(cumulative, reference.num_distinct_pairs(), "batch_size={batch_size}");
+        }
     }
 
     #[test]

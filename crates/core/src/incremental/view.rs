@@ -14,10 +14,11 @@
 //!
 //! # Query/one-shot equivalence
 //!
-//! [`IndexView::candidates`] runs the probe record through *exactly* the
-//! ingest signature pipeline — same shingler, same minhash permutations,
-//! same pinned semhash family and per-band w-way functions — and unions the
-//! live members of every bucket the probe would land in. The result is
+//! [`IndexView::candidates`] places the probe record through the same
+//! placement kernel as ingest and one-shot blocking — same shingler, same
+//! minhash permutations, same pinned semhash family and per-band w-way
+//! functions — and unions the live members of every cell the probe would
+//! land in. The result is
 //! therefore precisely the set of records one-shot
 //! [`SaLshBlocker::block`](crate::lsh::salsh::SaLshBlocker::block) over
 //! `corpus ∪ {probe}` would pair the probe with (property-tested in
@@ -30,11 +31,9 @@ use sablock_textual::hashing::StableHashSet;
 
 use crate::blocking::BlockCollection;
 use crate::error::{CoreError, Result};
-use crate::lsh::BandingScheme;
-use crate::minhash::shingle::RecordShingler;
-use crate::minhash::MinHasher;
+use crate::lsh::salsh::Placer;
 
-use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, IncrementalSemantic, RunningCounts};
+use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlocker, RunningCounts};
 
 /// An immutable view of an [`IncrementalSaLshBlocker`] frozen at a
 /// publication point (see the module docs). Capturing or cloning a view
@@ -43,10 +42,7 @@ use super::{snapshot_bands, BandIndex, IncrementalBlocker, IncrementalSaLshBlock
 #[derive(Debug, Clone)]
 pub struct IndexView {
     name: String,
-    shingler: RecordShingler,
-    hasher: MinHasher,
-    banding: BandingScheme,
-    semantic: Option<IncrementalSemantic>,
+    placer: Placer,
     bands: Vec<BandIndex>,
     removed: Vec<bool>,
     entity_of: Vec<EntityId>,
@@ -62,10 +58,7 @@ impl IndexView {
     pub(super) fn capture(blocker: &IncrementalSaLshBlocker) -> Self {
         Self {
             name: blocker.name(),
-            shingler: blocker.shingler.clone(),
-            hasher: blocker.hasher.clone(),
-            banding: blocker.banding,
-            semantic: blocker.semantic.clone(),
+            placer: blocker.placer.clone(),
             bands: blocker.bands.clone(),
             removed: blocker.removed.clone(),
             entity_of: blocker.entity_of.clone(),
@@ -89,27 +82,19 @@ impl IndexView {
     /// candidate). Equivalent to the probe's one-shot partner set; see the
     /// module docs.
     pub fn candidates(&self, record: &Record) -> Result<Vec<RecordId>> {
-        probe_candidates(
-            &self.shingler,
-            &self.hasher,
-            &self.banding,
-            self.semantic.as_ref(),
-            &self.bands,
-            &self.removed,
-            record,
-        )
+        probe_candidates(&self.placer, &self.bands, &self.removed, record)
     }
 
     /// The view's blocking as a [`BlockCollection`] — byte-identical to the
     /// blocker's [`IncrementalBlocker::snapshot`] at the publication point.
     pub fn snapshot(&self) -> BlockCollection {
-        snapshot_bands(&self.bands, &self.removed, self.semantic.is_some())
+        snapshot_bands(&self.placer, &self.bands, &self.removed)
     }
 
     /// The probe-side shingle set of a record under this view's shingler —
     /// what a service layer feeds a Jaccard scorer to rank candidates.
     pub fn shingle_set(&self, record: &Record) -> StableHashSet<u64> {
-        self.shingler.shingles(record)
+        self.placer.shingler.shingles(record)
     }
 
     /// Number of records ingested at the publication point (including
@@ -159,60 +144,35 @@ impl IndexView {
 }
 
 /// The shared probe-lookup implementation of [`IndexView::candidates`] and
-/// [`IncrementalSaLshBlocker::query_candidates`]: runs the probe through the
-/// ingest signature pipeline and unions the live bucket members it selects.
+/// [`IncrementalSaLshBlocker::query_candidates`]: places the probe through
+/// the ingest kernel and unions the live bucket members of its cells.
 pub(super) fn probe_candidates(
-    shingler: &RecordShingler,
-    hasher: &MinHasher,
-    banding: &BandingScheme,
-    semantic: Option<&IncrementalSemantic>,
+    placer: &Placer,
     bands: &[BandIndex],
     removed: &[bool],
     record: &Record,
 ) -> Result<Vec<RecordId>> {
-    for attribute in shingler.attributes() {
+    for attribute in placer.shingler.attributes() {
         if record.schema().index_of(attribute).is_none() {
             return Err(CoreError::Config(format!(
                 "attribute '{attribute}' selected for blocking does not exist in the schema of the probe record"
             )));
         }
     }
-    let shingles = shingler.shingles(record);
-    if shingles.is_empty() {
-        // Text-free records are never indexed, so they collide with nothing
-        // — exactly like the ingest path skipping them.
-        return Ok(Vec::new());
-    }
-    let signature = hasher.signature(&shingles);
-    let sem_signature = semantic.map(|semantic| {
-        let interpretation = semantic.config.function.interpret(record);
-        semantic.family.signature(&semantic.config.taxonomy, &interpretation)
-    });
+    // A text-free probe gets no placements, so it collides with nothing —
+    // exactly like the ingest path never indexing such records.
+    let probe = placer.signatures(std::slice::from_ref(record), None, 1);
     let mut candidates: Vec<RecordId> = Vec::new();
-    let mut collect = |bucket: &super::Bucket| {
-        candidates.extend(
-            bucket
-                .members
-                .iter()
-                .copied()
-                .filter(|member| *member != record.id() && !removed[member.index()]),
-        );
-    };
     for (band_index, band) in bands.iter().enumerate() {
-        let bucket_key = banding.band_key(&signature, band_index);
-        match (semantic, &sem_signature) {
-            (Some(semantic), Some(sem)) => {
-                for sub in semantic.band_hashes[band_index].sub_keys(sem) {
-                    let key = (bucket_key, sub as u64);
-                    if let Some(bucket) = band.get(&key) {
-                        collect(bucket);
-                    }
-                }
-            }
-            _ => {
-                if let Some(bucket) = band.get(&(bucket_key, 0)) {
-                    collect(bucket);
-                }
+        for (key, _) in placer.place(&probe, band_index) {
+            if let Some(bucket) = band.get(&key) {
+                candidates.extend(
+                    bucket
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|member| *member != record.id() && !removed[member.index()]),
+                );
             }
         }
     }

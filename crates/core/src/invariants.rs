@@ -86,17 +86,13 @@ pub(crate) fn check_emission_monotone(last: &mut Option<u64>, segment: &[u64]) {
 
 /// Checks that a freshly built per-batch delta is disjoint from every delta
 /// emitted before it, folding the delta's distinct keys into the blocker's
-/// lifetime set. Within one delta the same pair may legitimately appear in
-/// several band runs; across batches each pair must be reported exactly
-/// once.
+/// lifetime set: across batches each pair must be reported exactly once.
 #[cfg(feature = "check-invariants")]
 pub(crate) fn check_delta_disjoint(
     emitted: &mut std::collections::BTreeSet<u64>,
     delta: &crate::incremental::DeltaPairs,
 ) {
-    let mut fresh: Vec<u64> = Vec::new();
-    crate::blocking::merge_packed_runs_into(delta.runs(), |segment| fresh.extend_from_slice(segment));
-    for key in fresh {
+    for &key in delta.distinct_packed() {
         assert!(
             emitted.insert(key),
             "check-invariants: delta pair {key:#x} was already emitted by an earlier batch",

@@ -19,28 +19,33 @@
 //! as the "LSH" comparison point throughout the paper's evaluation
 //! ([`LshBlocker`] is an alias for that configuration).
 //!
-//! Both hot phases run in parallel on large datasets: signatures are
-//! computed per record and the banding/bucket phase is sharded per band
-//! (each band builds and sorts its own bucket map, and the shards are merged
-//! back in ascending band order). Every phase stitches results in a fixed
-//! order, so blocking output is byte-identical for any worker count — a
-//! property `tests/determinism.rs` enforces by diffing 1-thread and 4-thread
-//! runs.
+//! One crate-private placement kernel (`Placer`) maps records to their
+//! `(band, bucket, sub-key)` cells for every path that places records: the
+//! one-shot [`SaLshBlocker::block`](crate::blocking::Blocker::block), the
+//! incremental ingest of [`crate::incremental`] and its query probe. It
+//! computes a batch's signatures once, per record in parallel, and returns
+//! one band's placements sorted by cell; one-shot blocking shards the bands
+//! over the workers and turns each cell holding two or more records into a
+//! block, stitching the bands back in ascending order. Every phase stitches
+//! results in a fixed order, so blocking output is byte-identical for any
+//! worker count — a property `tests/determinism.rs` enforces by diffing
+//! 1-thread and 4-thread runs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
-use sablock_datasets::{Dataset, RecordId};
+use sablock_datasets::{Dataset, Record, RecordId};
 
 use crate::blocking::{Block, BlockCollection, Blocker};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::lsh::semantic_hash::WWaySemanticHash;
 use crate::lsh::{BandingScheme, SemanticConfig};
 use crate::minhash::shingle::RecordShingler;
-use crate::minhash::{MinHasher, MinhashConfig};
+use crate::minhash::{MinHasher, MinhashConfig, MinhashSignature};
 use crate::parallel::{parallel_map, resolve_threads};
 use crate::semantic::semhash::{SemanticSignature, SemhashFamily};
+use crate::semantic::Interpretation;
+use crate::taxonomy::TaxonomyTree;
 
 /// The semantic-aware LSH blocker (and, without a semantic component, the
 /// plain textual LSH blocker).
@@ -103,34 +108,9 @@ impl SaLshBlocker {
     /// bucket members in place once a bucket's dead fraction crosses
     /// [`crate::incremental::DEFAULT_COMPACTION_THRESHOLD`].
     pub fn into_incremental(self) -> Result<crate::incremental::IncrementalSaLshBlocker> {
-        crate::incremental::IncrementalSaLshBlocker::from_parts(
-            self.shingler,
-            self.minhash,
-            self.banding,
-            self.semantic,
-            self.threads,
-        )
-    }
-
-    /// Computes the semhash signatures of every record, or `None` when no
-    /// semantic component is configured.
-    ///
-    /// The semhash family is the pinned one when the configuration carries it
-    /// (see [`SemanticConfig::with_pinned_family`]); otherwise it is derived
-    /// from the interpretations of this dataset (Algorithm 1).
-    fn semantic_signatures(&self, dataset: &Dataset, threads: usize) -> Result<Option<Vec<SemanticSignature>>> {
-        let Some(semantic) = &self.semantic else {
-            return Ok(None);
-        };
-        semantic.validate()?;
-        let function = &semantic.function;
-        let interpretations = parallel_map(dataset.records(), threads, |record| function.interpret(record));
-        let family = match &semantic.pinned_family {
-            Some(family) => family.clone(),
-            None => SemhashFamily::build(&semantic.taxonomy, interpretations.iter())?,
-        };
-        let signatures = parallel_map(&interpretations, threads, |interp| family.signature(&semantic.taxonomy, interp));
-        Ok(Some(signatures))
+        let placer =
+            Placer::new(self.shingler, &self.minhash, self.banding, self.semantic, SemhashFamily::from_all_leaves)?;
+        Ok(crate::incremental::IncrementalSaLshBlocker::new(placer, self.threads))
     }
 }
 
@@ -149,90 +129,165 @@ impl Blocker for SaLshBlocker {
     fn block(&self, dataset: &Dataset) -> Result<BlockCollection> {
         self.shingler.validate_against(dataset)?;
         let threads = self.threads_for(dataset);
+        let records = dataset.records();
 
-        // Step 1-2: shingle and minhash every record.
-        let hasher = MinHasher::from_config(&self.minhash);
-        let shingles = parallel_map(dataset.records(), threads, |record| self.shingler.shingles(record));
-        let signatures = parallel_map(&shingles, threads, |set| hasher.signature(set));
+        // Algorithm 1: unless a family is pinned, the semhash family is the
+        // set of leaves under this dataset's interpretations.
+        let interpretations = self
+            .semantic
+            .as_ref()
+            .map(|semantic| parallel_map(records, threads, |record| semantic.function.interpret(record)));
+        let placer = Placer::new(self.shingler.clone(), &self.minhash, self.banding, self.semantic.clone(), |taxonomy| {
+            SemhashFamily::build(taxonomy, interpretations.iter().flatten())
+        })?;
+        let batch = placer.signatures(records, interpretations, threads);
 
-        // Step 3: semhash signatures (when configured).
-        let semantic_signatures = self.semantic_signatures(dataset, threads)?;
-
-        // One independently drawn w-way semantic hash function per band.
-        let band_hashes: Option<Vec<WWaySemanticHash>> = match (&self.semantic, &semantic_signatures) {
-            (Some(semantic), Some(signatures)) => {
-                let num_features = match &semantic.pinned_family {
-                    Some(family) => family.len(),
-                    None => signatures.first().map(SemanticSignature::len).unwrap_or(0),
-                };
-                if num_features == 0 {
-                    return Err(CoreError::Config("the semhash family has no features".into()));
-                }
-                let mut rng = StdRng::seed_from_u64(semantic.seed);
-                let hashes = (0..self.banding.bands())
-                    .map(|_| WWaySemanticHash::sample(num_features, semantic.w, semantic.mode, &mut rng))
-                    .collect::<Result<Vec<_>>>()?;
-                Some(hashes)
-            }
-            _ => None,
-        };
-
-        // Step 4: banding. Records with an empty shingle set carry no textual
-        // evidence and are not indexed (they would otherwise all collide on
-        // the all-sentinel signature).
-        //
-        // Each band's bucket index is independent of every other band's, so
-        // the bucket phase shards per band: `parallel_map` builds one bucket
-        // map per band concurrently, each shard sorts its buckets by key, and
-        // the shards are merged back in ascending band order. The merged
-        // output is therefore byte-identical for any worker count.
+        // Each band's cells are independent of every other band's, so the
+        // bands shard over the workers and are stitched back in ascending
+        // band order: the output is byte-identical for any worker count.
         let bands: Vec<usize> = (0..self.banding.bands()).collect();
         let per_band: Vec<Vec<Block>> = parallel_map(&bands, threads, |&band| {
-            let mut buckets: HashMap<u64, Vec<RecordId>> = HashMap::new();
-            for (idx, signature) in signatures.iter().enumerate() {
-                if shingles[idx].is_empty() {
-                    continue;
-                }
-                let key = self.banding.band_key(signature, band);
-                let id = RecordId::try_from_index(idx).expect("dataset record ids are validated at construction");
-                buckets.entry(key).or_default().push(id);
-            }
-
-            let mut bucket_entries: Vec<(u64, Vec<RecordId>)> = buckets.into_iter().collect();
-            bucket_entries.sort_by_key(|(key, _)| *key);
-
-            let mut blocks = Vec::new();
-            for (bucket_key, members) in bucket_entries {
-                if members.len() < 2 {
-                    continue;
-                }
-                match (&band_hashes, &semantic_signatures) {
-                    (Some(hashes), Some(sem_signatures)) => {
-                        // Split the textual bucket into the sub-blocks induced
-                        // by this band's w-way semantic hash function.
-                        let hash = &hashes[band];
-                        let mut sub_blocks: HashMap<usize, Vec<RecordId>> = HashMap::new();
-                        for &member in &members {
-                            for sub_key in hash.sub_keys(&sem_signatures[member.index()]) {
-                                sub_blocks.entry(sub_key).or_default().push(member);
-                            }
-                        }
-                        let mut sub_entries: Vec<(usize, Vec<RecordId>)> = sub_blocks.into_iter().collect();
-                        sub_entries.sort_by_key(|(key, _)| *key);
-                        for (sub_key, sub_members) in sub_entries {
-                            if sub_members.len() >= 2 {
-                                blocks.push(Block::new(format!("b{band}:{bucket_key:016x}:g{sub_key}"), sub_members));
-                            }
-                        }
-                    }
-                    _ => {
-                        blocks.push(Block::new(format!("b{band}:{bucket_key:016x}"), members));
-                    }
-                }
-            }
-            blocks
+            key_groups(&placer.place(&batch, band))
+                .filter(|cell| cell.len() >= 2)
+                .map(|cell| Block::new(placer.block_key(band, cell[0].0), cell.iter().map(|&(_, id)| id).collect()))
+                .collect()
         });
         BlockCollection::try_from_blocks(per_band.into_iter().flatten().collect())
+    }
+}
+
+/// One record placed in one cell of a band: `((textual bucket key, semantic
+/// sub-key), record)`. Plain LSH places every record under sub-key 0.
+pub(crate) type Placement = ((u64, u64), RecordId);
+
+/// Splits cell-sorted placements into the runs that share one cell.
+pub(crate) fn key_groups(placements: &[Placement]) -> impl Iterator<Item = &[Placement]> {
+    let mut rest = placements;
+    std::iter::from_fn(move || {
+        let &(key, _) = rest.first()?;
+        let (group, tail) = rest.split_at(rest.iter().take_while(|placement| placement.0 == key).count());
+        rest = tail;
+        Some(group)
+    })
+}
+
+/// The semantic half of the kernel: the semhash family and one w-way
+/// semantic hash function per band, drawn from `config.seed`.
+#[derive(Debug, Clone)]
+pub(crate) struct SemanticBands {
+    pub(crate) config: SemanticConfig,
+    pub(crate) family: SemhashFamily,
+    band_hashes: Vec<WWaySemanticHash>,
+}
+
+/// A batch's signatures, computed once and read by every band.
+pub(crate) struct Signatures {
+    ids: Vec<RecordId>,
+    /// `None` for a record without text: it carries no textual evidence and
+    /// is never placed (text-free records would otherwise all collide on the
+    /// all-sentinel signature).
+    minhash: Vec<Option<MinhashSignature>>,
+    /// One per record under SA-LSH, empty under plain LSH.
+    semhash: Vec<SemanticSignature>,
+}
+
+/// The SA-LSH placement kernel (paper §5.2, Fig. 4): shingle → minhash →
+/// band key, then the band's w-way semantic sub-keys. A record lands in
+/// every `(band, bucket, sub-key)` cell this function picks for it; two
+/// records share a block iff they share a cell.
+#[derive(Debug, Clone)]
+pub(crate) struct Placer {
+    pub(crate) shingler: RecordShingler,
+    hasher: MinHasher,
+    pub(crate) banding: BandingScheme,
+    pub(crate) semantic: Option<SemanticBands>,
+}
+
+impl Placer {
+    /// Builds the kernel. A semantic component that pins no family takes
+    /// the one `unpinned` chooses from the taxonomy.
+    pub(crate) fn new(
+        shingler: RecordShingler,
+        minhash: &MinhashConfig,
+        banding: BandingScheme,
+        semantic: Option<SemanticConfig>,
+        unpinned: impl FnOnce(&TaxonomyTree) -> Result<SemhashFamily>,
+    ) -> Result<Self> {
+        let semantic = match semantic {
+            Some(config) => {
+                config.validate()?;
+                let family = match &config.pinned_family {
+                    Some(family) => family.clone(),
+                    None => unpinned(&config.taxonomy)?,
+                };
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let band_hashes = (0..banding.bands())
+                    .map(|_| WWaySemanticHash::sample(family.len(), config.w, config.mode, &mut rng))
+                    .collect::<Result<Vec<_>>>()?;
+                Some(SemanticBands { config, family, band_hashes })
+            }
+            None => None,
+        };
+        Ok(Self { shingler, hasher: MinHasher::from_config(minhash), banding, semantic })
+    }
+
+    /// Shingles, minhashes, interprets and semhashes a batch, each stage a
+    /// [`parallel_map`] over the records. `interpretations` are ζ of the
+    /// records when the caller already has them (one-shot blocking derives
+    /// its family from them); they are computed here otherwise.
+    pub(crate) fn signatures(
+        &self,
+        records: &[Record],
+        interpretations: Option<Vec<Interpretation>>,
+        threads: usize,
+    ) -> Signatures {
+        let shingles = parallel_map(records, threads, |record| self.shingler.shingles(record));
+        let minhash = parallel_map(&shingles, threads, |set| (!set.is_empty()).then(|| self.hasher.signature(set)));
+        let semhash = match &self.semantic {
+            Some(semantic) => {
+                let interpretations = interpretations.unwrap_or_else(|| {
+                    parallel_map(records, threads, |record| semantic.config.function.interpret(record))
+                });
+                parallel_map(&interpretations, threads, |interpretation| {
+                    semantic.family.signature(&semantic.config.taxonomy, interpretation)
+                })
+            }
+            None => Vec::new(),
+        };
+        Signatures { ids: records.iter().map(Record::id).collect(), minhash, semhash }
+    }
+
+    /// One band's placements of a batch, sorted by cell with ids ascending
+    /// within a cell (batches arrive in id order and the sort key ends on
+    /// the id).
+    pub(crate) fn place(&self, batch: &Signatures, band: usize) -> Vec<Placement> {
+        let mut placements: Vec<Placement> = Vec::with_capacity(batch.ids.len());
+        for (offset, (&id, minhash)) in batch.ids.iter().zip(&batch.minhash).enumerate() {
+            let Some(minhash) = minhash else {
+                continue;
+            };
+            let bucket = self.banding.band_key(minhash, band);
+            match &self.semantic {
+                Some(semantic) => {
+                    for sub in semantic.band_hashes[band].sub_keys(&batch.semhash[offset]) {
+                        placements.push(((bucket, sub as u64), id)); // sablock-lint: allow(lossy-id-cast): usize sub-key index → u64 widens losslessly
+                    }
+                }
+                None => placements.push(((bucket, 0), id)),
+            }
+        }
+        placements.sort_unstable();
+        placements
+    }
+
+    /// The block key of a cell: `b{band}:{bucket:016x}`, plus `:g{sub}`
+    /// under SA-LSH.
+    pub(crate) fn block_key(&self, band: usize, (bucket, sub): (u64, u64)) -> String {
+        if self.semantic.is_some() {
+            format!("b{band}:{bucket:016x}:g{sub}")
+        } else {
+            format!("b{band}:{bucket:016x}")
+        }
     }
 }
 
@@ -527,12 +582,9 @@ mod tests {
         builder.push_values(vec![None], EntityId(0)).unwrap();
         builder.push_values(vec![Some("real text".into())], EntityId(1)).unwrap();
         let dataset = builder.build().unwrap();
-        let blocks = lsh_blocker(4, 2).block(&dataset);
-        // lsh_blocker uses title+authors; rebuild over title only.
         let blocker = SaLshBlocker::builder().attributes(["title"]).qgram(2).bands(4).rows_per_band(2).build().unwrap();
-        let blocks2 = blocker.block(&dataset).unwrap();
-        assert_eq!(blocks2.num_distinct_pairs(), 0, "empty records must not form blocks");
-        drop(blocks);
+        let blocks = blocker.block(&dataset).unwrap();
+        assert_eq!(blocks.num_distinct_pairs(), 0, "empty records must not form blocks");
     }
 
     #[test]
@@ -553,6 +605,55 @@ mod tests {
         assert!(blocks.num_distinct_pairs() > 0);
         // Blocking must reduce the comparison space drastically.
         assert!(blocks.num_distinct_pairs() < dataset.num_total_pairs() / 2);
+    }
+
+    /// FNV-1a 64 over every block's key and members, in collection order.
+    fn fingerprint(blocks: &BlockCollection) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for block in blocks.blocks() {
+            feed(block.key().as_bytes());
+            feed(&[0xff]);
+            for member in block.members() {
+                feed(&member.0.to_le_bytes());
+            }
+            feed(&[0xfe]);
+        }
+        hash
+    }
+
+    #[test]
+    fn one_shot_output_is_pinned_on_the_quick_cora_roll() {
+        // The Fig. 11/12 Cora operating points (k = 4, l = 63, q = 4, w = 5)
+        // with data-derived semhash families; the values were recorded before
+        // the three placement paths were merged into one kernel.
+        let dataset = CoraGenerator::new(CoraConfig { num_records: 400, ..CoraConfig::default() }).generate().unwrap();
+        let blocker = |mode: Option<SemanticMode>| {
+            let mut builder = SaLshBlocker::builder()
+                .attributes(["title", "authors"])
+                .qgram(4)
+                .rows_per_band(4)
+                .bands(63)
+                .seed(0xC04A);
+            if let Some(mode) = mode {
+                let tree = bibliographic_taxonomy();
+                let zeta = PatternSemanticFunction::cora_default(&tree).unwrap();
+                builder = builder.semantic(SemanticConfig::new(tree, zeta).with_w(5).with_mode(mode).with_seed(0x1212));
+            }
+            builder.build().unwrap()
+        };
+        for (name, mode, expected) in [
+            ("LSH", None, 0x6b0b_aa34_79bf_1d78u64),
+            ("SA-LSH OR", Some(SemanticMode::Or), 0xd900_9a9f_64f7_2295),
+            ("SA-LSH AND", Some(SemanticMode::And), 0x94e7_e783_d36d_fd79),
+        ] {
+            let actual = fingerprint(&blocker(mode).block(&dataset).unwrap());
+            assert!(actual == expected, "{name}: fingerprint {actual:#018x}, pinned {expected:#018x}");
+        }
     }
 
     #[test]

@@ -50,8 +50,10 @@ use graph::{CallGraph, Model, ModelFile};
 
 /// Recursively collects the workspace's lintable `.rs` files (relative to
 /// `root`), skipping `vendor/`, `target/`, `fixtures/` (the analyzer's
-/// deliberately-broken test workspaces) and hidden directories. Paths come
-/// back sorted for deterministic diagnostic order.
+/// deliberately-broken test workspaces), hidden directories and nested
+/// Cargo workspaces (a subdirectory whose `Cargo.toml` declares its own
+/// `[workspace]` is not a member of the root's). Paths come back sorted for
+/// deterministic diagnostic order.
 pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -62,7 +64,12 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name == "vendor" || name == "target" || name == "fixtures" || name.starts_with('.') {
+                if name == "vendor"
+                    || name == "target"
+                    || name == "fixtures"
+                    || name.starts_with('.')
+                    || declares_workspace(&path.join("Cargo.toml"))
+                {
                     continue;
                 }
                 stack.push(path);
@@ -73,6 +80,14 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     files.sort();
     Ok(files)
+}
+
+/// Whether a manifest declares a Cargo workspace of its own (a `[workspace]`
+/// or `[workspace.*]` table). A missing or unreadable manifest declares none.
+fn declares_workspace(manifest: &Path) -> bool {
+    std::fs::read_to_string(manifest).is_ok_and(|text| {
+        text.lines().map(str::trim).any(|line| line == "[workspace]" || line.starts_with("[workspace."))
+    })
 }
 
 /// The result of a full workspace analysis: every diagnostic (suppressed
@@ -223,4 +238,34 @@ pub fn render_json(diagnostics: &[Diagnostic]) -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nested_workspaces_are_not_collected() {
+        let root = std::env::temp_dir().join(format!("xtask-nested-workspace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("src/lib.rs", "");
+        write("crates/member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("crates/member/src/lib.rs", "");
+        write("bench/Cargo.toml", "[package]\nname = \"bench\"\n\n[workspace]\n");
+        write("bench/src/main.rs", "");
+
+        let files = collect_workspace_files(&root).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        let rel: Vec<String> = files
+            .iter()
+            .map(|path| path.strip_prefix(&root).unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(rel, ["crates/member/src/lib.rs", "src/lib.rs"]);
+    }
 }
